@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"promising"
-	"promising/internal/explore"
 	"promising/internal/litmus"
 )
 
@@ -58,7 +57,6 @@ func run(backend string, interactive, witness bool, timeout time.Duration, maxSt
 		if err != nil {
 			return err
 		}
-		test, _ = nil, error(nil)
 		t, err := promising.ParseTest(string(src))
 		if err != nil {
 			return err
@@ -121,5 +119,4 @@ func printWitness(v *promising.Verdict, test *promising.Test) {
 		return
 	}
 	fmt.Println("condition unsatisfied: no witness")
-	_ = explore.Options{}
 }

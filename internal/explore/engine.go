@@ -283,6 +283,9 @@ type Ctx[S any] struct {
 	// Res is the worker-local result; merged deterministically after the
 	// pool drains.
 	Res *Result
+	// Scratch is Process's per-worker scratch space: nil at the worker's
+	// first call, then whatever Process left there.
+	Scratch any
 
 	run *engineRun
 	// poll counts down Alive checks until the next budget poll.

@@ -407,8 +407,8 @@ func CanonMask(mask uint32, order []int) uint32 {
 	return out
 }
 
-// ConcreteMask is the inverse of CanonMask for the same order.
-func ConcreteMask(mask uint32, order []int) uint32 {
+// concreteMask is the inverse of CanonMask for the same order.
+func concreteMask(mask uint32, order []int) uint32 {
 	if order == nil || mask == 0 {
 		return mask
 	}
@@ -421,7 +421,7 @@ func ConcreteMask(mask uint32, order []int) uint32 {
 	return out
 }
 
-// ClaimTable records, per canonical state handle, the set of thread
+// claimTable records, per canonical state handle, the set of thread
 // families ever claimed for expansion there (in the canonical frame, so
 // arrivals at different orbit representatives share one entry — sound
 // because the representatives are isomorphic states and outcomes are
@@ -429,7 +429,7 @@ func ConcreteMask(mask uint32, order []int) uint32 {
 // expanded at most once per state over the whole run, which is what keeps
 // re-arrivals with different sleep sets from re-expanding covered
 // families. Sharded like the interner for parallel workers.
-type ClaimTable struct {
+type claimTable struct {
 	shards [claimShards]claimShard
 }
 
@@ -440,9 +440,9 @@ type claimShard struct {
 	m  map[core.Handle]uint32
 }
 
-// NewClaimTable returns an empty claim table.
-func NewClaimTable() *ClaimTable {
-	t := &ClaimTable{}
+// newClaimTable returns an empty claim table.
+func newClaimTable() *claimTable {
+	t := &claimTable{}
 	for i := range t.shards {
 		t.shards[i].m = make(map[core.Handle]uint32)
 	}
@@ -451,7 +451,7 @@ func NewClaimTable() *ClaimTable {
 
 // Claim atomically claims the families in want at state h and returns the
 // subset not previously claimed (the caller expands exactly those).
-func (t *ClaimTable) Claim(h core.Handle, want uint32) uint32 {
+func (t *claimTable) Claim(h core.Handle, want uint32) uint32 {
 	s := &t.shards[uint64(h)%claimShards]
 	s.mu.Lock()
 	got := s.m[h]
@@ -467,13 +467,13 @@ func (t *ClaimTable) Claim(h core.Handle, want uint32) uint32 {
 // snapshot: the arrival sleep set (bits 0-29), the claimed to-expand set
 // (bits 30-59) and the first-ever-arrival flag (bit 60). A zero word —
 // and a snapshot with no aux at all — decodes to the conservative
-// "expand everything, not fresh" state only through UnpackAux's caller
-// defaulting; PackAux/UnpackAux themselves are exact inverses.
+// "expand everything, not fresh" state only through unpackAux's caller
+// defaulting; packAux/unpackAux themselves are exact inverses.
 
 const auxMaskBits = 30
 
-// PackAux packs a frontier entry's reduction state into one aux word.
-func PackAux(sleep, todo uint32, fresh bool) uint64 {
+// packAux packs a frontier entry's reduction state into one aux word.
+func packAux(sleep, todo uint32, fresh bool) uint64 {
 	w := uint64(sleep&(1<<auxMaskBits-1)) | uint64(todo&(1<<auxMaskBits-1))<<auxMaskBits
 	if fresh {
 		w |= 1 << (2 * auxMaskBits)
@@ -481,8 +481,8 @@ func PackAux(sleep, todo uint32, fresh bool) uint64 {
 	return w
 }
 
-// UnpackAux is the inverse of PackAux.
-func UnpackAux(w uint64) (sleep, todo uint32, fresh bool) {
+// unpackAux is the inverse of packAux.
+func unpackAux(w uint64) (sleep, todo uint32, fresh bool) {
 	sleep = uint32(w) & (1<<auxMaskBits - 1)
 	todo = uint32(w>>auxMaskBits) & (1<<auxMaskBits - 1)
 	fresh = w&(1<<(2*auxMaskBits)) != 0

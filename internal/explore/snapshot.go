@@ -78,7 +78,7 @@ type Snapshot struct {
 	// naive, phase-1 memories for promising, flat machine keys for flat,
 	// joint-trace index prefixes for axiomatic).
 	Frontier [][]byte `json:"frontier"`
-	// FrontierAux carries per-entry reduction state (PackAux: sleep set,
+	// FrontierAux carries per-entry reduction state (packAux: sleep set,
 	// claimed families, fresh flag) parallel to Frontier; empty when the
 	// run had no pruning. Entries with equal state encodings but
 	// different aux words are distinct pending work items.
@@ -124,7 +124,7 @@ type Snapshot struct {
 
 // newSnapshot assembles a snapshot from a checkpointed run's partial
 // result. frontier and seen are the backend's canonical encodings; aux,
-// when non-nil, is parallel to frontier (PackAux words); res must already
+// when non-nil, is parallel to frontier (packAux words); res must already
 // include any prior snapshot's accumulated counters (the resume path
 // merges before re-snapshotting).
 func newSnapshot(backend string, opts *Options, res *Result, frontier, seen [][]byte, aux []uint64) *Snapshot {
@@ -278,8 +278,8 @@ func (s *Snapshot) mergeInto(res *Result) {
 }
 
 // NewSnapshotFor assembles a snapshot on behalf of an out-of-package
-// backend (flat, axiomatic); in-package explorers use newSnapshot
-// directly. aux may be nil when the backend ran without pruning.
+// backend (axiomatic); in-package explorers use newSnapshot directly.
+// aux may be nil when the backend ran without pruning.
 func NewSnapshotFor(backend string, opts *Options, res *Result, frontier, seen [][]byte, aux []uint64) *Snapshot {
 	return newSnapshot(backend, opts, res, frontier, seen, aux)
 }
@@ -295,12 +295,6 @@ func newDeltaSnapshot(backend string, opts *Options, res *Result, frontier [][]b
 	s.Leg = prev.Leg + 1
 	s.BaseSeen = ss.Base()
 	return s
-}
-
-// NewDeltaSnapshotFor is newDeltaSnapshot for the out-of-package backends
-// (flat); see NewSnapshotFor.
-func NewDeltaSnapshotFor(backend string, opts *Options, res *Result, frontier [][]byte, ss *SeenSet, aux []uint64, prev *Snapshot) *Snapshot {
-	return newDeltaSnapshot(backend, opts, res, frontier, ss, aux, prev)
 }
 
 // ApplyDelta reconstructs the full snapshot a delta leg stands for:

@@ -224,18 +224,27 @@ func (j *job) record(cell int, tr TestReport) {
 }
 
 // finish moves the job to its terminal state and closes every subscriber.
-func (j *job) finish() {
+func (j *job) finish() { j.finishAs(j.terminal()) }
+
+// terminal is the state and elapsed time finish would publish now.
+func (j *job) terminal() (JobState, time.Duration) {
+	if j.ctx.Err() != nil {
+		return JobCanceled, time.Since(j.start)
+	}
+	return JobDone, time.Since(j.start)
+}
+
+// finishAs is finish with a terminal state and elapsed time taken earlier
+// from terminal, so a status persisted in between matches the published
+// one.
+func (j *job) finishAs(state JobState, el time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobRunning {
 		return
 	}
-	if j.ctx.Err() != nil {
-		j.state = JobCanceled
-	} else {
-		j.state = JobDone
-	}
-	j.elapsed = time.Since(j.start)
+	j.state = state
+	j.elapsed = el
 	for ch := range j.subs {
 		close(ch)
 	}
@@ -469,10 +478,7 @@ func (s *Server) startFuzzJob(cfg fuzz.Config) *job {
 		prev = final.Progress
 		prevMu.Unlock()
 		j.updateFuzz(final)
-		j.finish()
-		if j.stateNow() == JobDone {
-			s.persistObs(j)
-		}
+		s.finishJob(j)
 		st := j.status()
 		s.logf("promised: fuzz job %s %s (%d iterations, %d findings)", j.id, st.State, final.Iterations, len(final.Findings))
 	}()
@@ -556,17 +562,11 @@ func (s *Server) launchJob(id string, tests []*litmus.Test, specs []TestSpec, ba
 	}
 	go func() {
 		wg.Wait()
-		j.finish()
+		s.finishJob(j)
 		// Terminal jobs release their durable state — except jobs ended by
 		// a server shutdown, which must stay resumable on restart.
 		if j.stateNow() == JobDone || j.userCanceled.Load() {
 			s.store.remove(j.id)
-		}
-		// Finished jobs move to the durable trace store: stage events,
-		// final status and witness traces survive a kill -9 even though
-		// the resumable job state above was just released.
-		if j.stateNow() == JobDone {
-			s.persistObs(j)
 		}
 		st := j.status()
 		s.logf("promised: job %s %s (%d cells, %d cache hits)", j.id, st.State, j.total, st.CacheHits)

@@ -313,10 +313,30 @@ func (s *Server) Close() { s.stop() }
 // Cache exposes the verdict cache (metrics, tests).
 func (s *Server) Cache() *cache.Cache { return s.cache }
 
+// Slow-client bounds of the daemon's HTTP server: a client must finish
+// its request headers within readHeaderTimeout, and an idle keep-alive
+// connection closes after idleTimeout. There is deliberately no
+// ReadTimeout or WriteTimeout: either would cut the long-lived
+// /v1/jobs/{id}/events stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer builds the daemon's HTTP server on cfg.Addr.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{
+		Addr:              s.cfg.Addr,
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // ListenAndServe runs the daemon until ctx is canceled, then shuts down
 // gracefully (canceling all jobs).
 func (s *Server) ListenAndServe(ctx context.Context) error {
-	hs := &http.Server{Addr: s.cfg.Addr, Handler: s.mux}
+	hs := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	s.logf("promised: listening on %s (workers=%d, parallelism=%d)", s.cfg.Addr, s.cfg.Workers, s.cfg.Parallelism)
@@ -1020,14 +1040,29 @@ func (s *Server) handleJobWitness(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusNotFound, "job %q has no witness for outcome %q", id, outcome)
 }
 
-// persistObs writes a finished job's observability record — stage
-// events, the final status document, and every witness trace — to the
-// durable trace store. Nil-safe (no state dir: no-op).
-func (s *Server) persistObs(j *job) {
+// finishJob publishes a batch or fuzz job's terminal state. A job that
+// completed moves to the durable trace store first, so a client that sees
+// it done can rely on its stage events, final status and witness traces
+// surviving a kill -9.
+func (s *Server) finishJob(j *job) {
+	state, el := j.terminal()
+	if state == JobDone {
+		s.persistObs(j, el)
+	}
+	j.finishAs(state, el)
+}
+
+// persistObs writes the observability record of a job about to finish
+// as done after el — stage events, the final status document, and every
+// witness trace — to the durable trace store. Nil-safe (no state dir:
+// no-op).
+func (s *Server) persistObs(j *job, el time.Duration) {
 	if s.obsStore == nil {
 		return
 	}
 	st := j.status()
+	st.State = JobDone
+	st.ElapsedMS = el.Milliseconds()
 	statusRaw, err := json.Marshal(st)
 	if err != nil {
 		s.logf("promised: job %s: marshal final status: %v", j.id, err)
