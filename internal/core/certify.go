@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,8 +20,12 @@ import (
 // pre-certification memory (§B, proved correct as Theorem 6.4).
 //
 // Certification is the dominant cost of promise-aware exploration: every
-// machine step re-runs a sequential search over cloned thread/memory
-// states. CertCache makes that work shared across a whole exploration —
+// machine step re-runs a sequential search over thread/memory states. The
+// search does not clone a state per edge: a child is dead once its search
+// returns (memos keep results, never states), so each certifier refills
+// dead children from a free list (copyInto, sharing the replace-only Prom
+// and Xclb; see TState). CertCache makes that work shared across a whole
+// exploration —
 // an exploration-scoped, concurrency-safe memo of search results keyed by
 // interned (thread × memory) state handles, consulted and filled by every
 // Certify call of a run, across all engine workers. Two access paths:
@@ -220,8 +226,7 @@ func (cc *CertCache) put(k certKey, m certMemo) {
 // interior search state is shared through the cache — the machine
 // explorers' access path.
 func (cc *CertCache) Certify(env *Env, th *Thread, mem *Memory, collectPromises bool) CertResult {
-	c := &certifier{env: env, baseTS: mem.MaxTS(), collect: collectPromises, cc: cc, deep: cc != nil}
-	return c.run(th, mem).CertResult
+	return cc.certify(certCall{env: env, collect: collectPromises, deep: cc != nil}, th, mem).CertResult
 }
 
 // CertifyScoped is Certify with call-scoped interior memoisation: interior
@@ -230,8 +235,7 @@ func (cc *CertCache) Certify(env *Env, th *Thread, mem *Memory, collectPromises 
 // pairwise distinct (promise-first: phase-1 memories are deduplicated)
 // does not grow the shared cache with states that can never be re-read.
 func (cc *CertCache) CertifyScoped(env *Env, th *Thread, mem *Memory, collectPromises bool) CertResult {
-	c := &certifier{env: env, baseTS: mem.MaxTS(), collect: collectPromises, cc: cc}
-	return c.run(th, mem).CertResult
+	return cc.certify(certCall{env: env, collect: collectPromises}, th, mem).CertResult
 }
 
 // InternMemory interns mem's canonical encoding in the cache's interner,
@@ -243,10 +247,10 @@ func (cc *CertCache) InternMemory(mem *Memory) Handle {
 	if cc == nil {
 		return 0
 	}
-	buf := GetEncBuf()
-	buf = EncodeMemory(buf, mem, 0)
-	h, _ := cc.in.Intern(buf)
-	PutEncBuf(buf)
+	bp := GetEncBuf()
+	*bp = EncodeMemory(*bp, mem, 0)
+	h, _ := cc.in.Intern(*bp)
+	PutEncBuf(bp)
 	return h
 }
 
@@ -260,27 +264,14 @@ func (cc *CertCache) InternMemory(mem *Memory) Handle {
 // two-pass implementation's completer counted); returning false aborts
 // the search.
 func (cc *CertCache) CertifyAndComplete(env *Env, th *Thread, mem *Memory, hmem Handle, obs []lang.Reg, visit func() bool) CertCompleteResult {
-	c := &certifier{
+	return cc.certify(certCall{
 		env:     env,
-		baseTS:  mem.MaxTS(),
 		collect: true,
-		cc:      cc,
 		unified: true,
 		obs:     obs,
 		visit:   visit,
 		hmem:    hmem,
-	}
-	if cc != nil {
-		// The observed-register projection is baked into the cached
-		// finals, so it is part of the unified key.
-		buf := GetEncBuf()
-		for _, r := range obs {
-			buf = appendInt(buf, int64(r))
-		}
-		c.obsH, _ = cc.in.Intern(buf)
-		PutEncBuf(buf)
-	}
-	return c.run(th, mem)
+	}, th, mem)
 }
 
 // Certified reports the declarative predicate only.
@@ -341,7 +332,8 @@ type certMemo struct {
 	fbound bool
 }
 
-type certifier struct {
+// certCall is the configuration and progress of one certification call.
+type certCall struct {
 	env     *Env
 	baseTS  Time
 	collect bool
@@ -362,6 +354,19 @@ type certifier struct {
 	hmem    Handle
 	visit   func() bool
 	aborted bool
+}
+
+// certifier runs one certification call at a time. Besides the call it
+// holds scratch that outlives the call, recycled through certifierPool:
+// the memo maps (cleared after each call), free lists of search children
+// and the search-key and step-choice buffers.
+//
+// Search children are reused, not cloned per edge: a child is dead once
+// its search returns, because memos keep only certMemo values (never a
+// thread, a memory or an encoding they own), so the edge hands it straight
+// back to the free list and the next edge refills it with copyInto.
+type certifier struct {
+	certCall
 	// hmemo is the deep path's call-local memo, keyed by interned handles;
 	// it doubles as the in-progress guard (states are marked before their
 	// children are searched), which must stay call-local — a shared
@@ -372,20 +377,116 @@ type certifier struct {
 	// (thread ++ memory suffix above baseTS, which is constant within a
 	// call).
 	memo map[string]certMemo
+	// threads and mems are the free lists of dead search children.
+	threads []*searchThread
+	mems    []*Memory
+	// key is the search-key encode buffer. reads and times are stacks of
+	// step-choice lists: a search state appends its choices, iterates them
+	// by index (its children push above) and truncates back.
+	key   []byte
+	reads []ReadChoice
+	times []Time
 }
 
-// run clones the inputs, runs the search and assembles the result.
+// searchThread is a search child: a thread, its state, and the buffers
+// that back its bank-encoding caches (TState.cacheBanks).
+type searchThread struct {
+	Thread
+	ts   TState
+	bufs bankBufs
+}
+
+var certifierPool = sync.Pool{New: func() any { return new(certifier) }}
+
+// maxPooledMemo caps the memo size a pooled certifier keeps: clear costs
+// time in the map's capacity, so one huge call would otherwise tax every
+// small call after it.
+const maxPooledMemo = 1 << 14
+
+// certify runs one certification call on a pooled certifier.
+func (cc *CertCache) certify(call certCall, th *Thread, mem *Memory) CertCompleteResult {
+	c := certifierPool.Get().(*certifier)
+	call.cc = cc
+	call.baseTS = mem.MaxTS()
+	c.certCall = call
+	out := c.run(th, mem)
+	c.certCall = certCall{}
+	if len(c.memo) > maxPooledMemo {
+		c.memo = nil
+	}
+	if len(c.hmemo) > maxPooledMemo {
+		c.hmemo = nil
+	}
+	clear(c.memo)
+	clear(c.hmemo)
+	certifierPool.Put(c)
+	return out
+}
+
+// child returns a free search child holding a copy of th.
+func (c *certifier) child(th *Thread) *searchThread {
+	var s *searchThread
+	if n := len(c.threads); n > 0 {
+		s = c.threads[n-1]
+		c.threads = c.threads[:n-1]
+	} else {
+		s = new(searchThread)
+		s.TS = &s.ts
+	}
+	th.copyInto(&s.Thread)
+	return s
+}
+
+// childMem returns a free memory holding a copy of mem.
+func (c *certifier) childMem(mem *Memory) *Memory {
+	var m *Memory
+	if n := len(c.mems); n > 0 {
+		m = c.mems[n-1]
+		c.mems = c.mems[:n-1]
+	} else {
+		m = new(Memory)
+	}
+	mem.copyInto(m)
+	return m
+}
+
+// release returns a dead child, and its memory when it has its own, to
+// the free lists.
+func (c *certifier) release(s *searchThread, m *Memory) {
+	c.threads = append(c.threads, s)
+	if m != nil {
+		c.mems = append(c.mems, m)
+	}
+}
+
+// run copies the inputs into search children, runs the search and
+// assembles the result.
 func (c *certifier) run(th *Thread, mem *Memory) CertCompleteResult {
 	hmem := c.hmem
-	if c.cc != nil && hmem == 0 {
-		hmem = c.cc.InternMemory(mem)
+	if c.cc != nil {
+		if hmem == 0 {
+			hmem = c.cc.InternMemory(mem)
+		}
+		if c.unified {
+			// The observed-register projection is baked into the cached
+			// finals, so it is part of the unified key.
+			c.key = c.key[:0]
+			for _, r := range c.obs {
+				c.key = appendInt(c.key, int64(r))
+			}
+			c.obsH, _ = c.cc.in.Intern(c.key)
+		}
 	}
 	if c.deep {
-		c.hmemo = make(map[[2]Handle]certMemo)
-	} else {
+		if c.hmemo == nil {
+			c.hmemo = make(map[[2]Handle]certMemo)
+		}
+	} else if c.memo == nil {
 		c.memo = make(map[string]certMemo)
 	}
-	res := c.search(th.Clone(), mem.Clone(), hmem, true)
+	root, rootMem := c.child(th), c.childMem(mem)
+	res := c.search(root, rootMem, hmem, true)
+	c.release(root, rootMem)
 	out := CertCompleteResult{CertResult: CertResult{Certified: res.reach}}
 	if c.aborted {
 		out.Aborted = true
@@ -398,6 +499,11 @@ func (c *certifier) run(th *Thread, mem *Memory) CertCompleteResult {
 				out.Promises = append(out.Promises, w)
 			}
 		}
+		// Map order is random; callers step promises in the returned
+		// order, so fix it.
+		slices.SortFunc(out.Promises, func(a, b Msg) int {
+			return cmp.Or(cmp.Compare(a.Loc, b.Loc), cmp.Compare(a.Val, b.Val), cmp.Compare(a.TID, b.TID))
+		})
 	}
 	if c.unified {
 		out.Finals = res.finals
@@ -406,18 +512,19 @@ func (c *certifier) run(th *Thread, mem *Memory) CertCompleteResult {
 	return out
 }
 
-// search explores the sequential executions of th (alone) under mem. It
-// owns and mutates both arguments. hmem is mem's interned handle (cached
-// runs only; non-write children reuse it, so each distinct memory is
-// interned once per branch). plane reports that no new write has been
+// search explores the sequential executions of s (alone) under mem. It
+// owns and mutates s; mem is read only. hmem is mem's interned handle
+// (cached runs only; non-write children reuse it, so each distinct memory
+// is interned once per branch). plane reports that no new write has been
 // performed on the path from the root, i.e. mem is still the root memory —
 // the states whose complete executions are the thread's phase-2
 // completions. It returns whether a prom = {} state is reachable, the
 // candidate writes on certifying suffixes, and (unified) the completions.
-func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) certMemo {
+func (c *certifier) search(s *searchThread, mem *Memory, hmem Handle, plane bool) certMemo {
 	if c.aborted {
 		return certMemo{}
 	}
+	th := &s.Thread
 	id := Advance(c.env, th)
 	if th.TS.BoundExceeded {
 		// Ran past the loop bound: cannot use this trace as a certificate,
@@ -450,11 +557,10 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 	)
 	root := !c.rootDone
 	c.rootDone = true
+	s.ts.cacheBanks(&s.bufs)
+	c.key = EncodeThread(c.key[:0], th)
 	if c.deep {
-		buf := GetEncBuf()
-		buf = EncodeThread(buf, th)
-		hth, _ := c.cc.in.Intern(buf)
-		PutEncBuf(buf)
+		hth, _ := c.cc.in.Intern(c.key)
 		lkey = [2]Handle{hth, hmem}
 		if m, ok := c.hmemo[lkey]; ok {
 			return m
@@ -478,18 +584,14 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 		// global interning, which would retain every encoding for the
 		// whole exploration), and consult the shared cache at the root
 		// state only.
-		buf := GetEncBuf()
-		buf = EncodeMemory(EncodeThread(buf, th), mem, c.baseTS)
-		skey = string(buf)
-		PutEncBuf(buf)
-		if m, ok := c.memo[skey]; ok {
+		nth := len(c.key)
+		c.key = EncodeMemory(c.key, mem, c.baseTS)
+		if m, ok := c.memo[string(c.key)]; ok {
 			return m
 		}
+		skey = string(c.key)
 		if share = root && c.cc != nil; share {
-			buf := GetEncBuf()
-			buf = EncodeThread(buf, th)
-			hth, _ := c.cc.in.Intern(buf)
-			PutEncBuf(buf)
+			hth, _ := c.cc.in.Intern(c.key[:nth])
 			ckey = certKey{tid: c.env.TID, thread: hth, mem: hmem, unified: c.unified, obs: c.obsH}
 			if m, ok := c.cc.get(ckey, c.collect); ok {
 				c.cc.hits.Add(1)
@@ -513,70 +615,65 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 	n := &c.env.Code.Nodes[id]
 	switch n.Kind {
 	case lang.NLoad:
-		for _, rc := range ReadChoices(c.env, th, id, mem) {
-			child := th.Clone()
-			ApplyRead(c.env, child, id, mem, rc.TS)
-			c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+		lo := len(c.reads)
+		c.reads = appendReadChoices(c.reads, c.env, th, id, mem)
+		for i := lo; i < len(c.reads); i++ {
+			child := c.child(th)
+			ApplyRead(c.env, &child.Thread, id, mem, c.reads[i].TS)
+			c.descend(&res, child, mem, hmem, plane)
 		}
+		c.reads = c.reads[:lo]
 	case lang.NStore:
 		// Fulfil an outstanding promise.
-		for _, t := range FulfilChoices(c.env, th, id, mem) {
-			child := th.Clone()
-			ApplyFulfil(c.env, child, id, mem, t)
-			c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+		lo := len(c.times)
+		c.times = appendFulfilChoices(c.times, c.env, th, id, mem)
+		for i := lo; i < len(c.times); i++ {
+			child := c.child(th)
+			ApplyFulfil(c.env, &child.Thread, id, mem, c.times[i])
+			c.descend(&res, child, mem, hmem, plane)
 		}
+		c.times = c.times[:lo]
 		// Perform a fresh (normal) write.
-		{
-			child := th.Clone()
-			childMem := mem.Clone()
-			if t, preCoh, ok := NormalWrite(c.env, child, id, childMem); ok {
-				w := childMem.At(t)
-				var hchild Handle
-				if c.deep {
-					buf := GetEncBuf()
-					buf = EncodeMemory(buf, childMem, 0)
-					hchild, _ = c.cc.in.Intern(buf)
-					PutEncBuf(buf)
-				}
-				c.merge(&res, c.search(child, childMem, hchild, false), &w, preCoh, plane)
-			}
+		child, childMem := c.child(th), c.childMem(mem)
+		if t, preCoh, ok := NormalWrite(c.env, &child.Thread, id, childMem); ok {
+			c.descendWrite(&res, child, childMem, t, preCoh, plane)
 		}
+		c.release(child, childMem)
 		// An exclusive store may fail.
 		if n.Xcl {
-			child := th.Clone()
-			ApplyXclFail(c.env, child, id)
-			c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+			child := c.child(th)
+			ApplyXclFail(c.env, &child.Thread, id)
+			c.descend(&res, child, mem, hmem, plane)
 		}
 	case lang.NRMW:
-		for _, rc := range ReadChoices(c.env, th, id, mem) {
+		lo := len(c.reads)
+		c.reads = appendReadChoices(c.reads, c.env, th, id, mem)
+		for i := lo; i < len(c.reads); i++ {
+			rc := c.reads[i]
 			// A CAS whose comparison fails is a read-only step.
 			if _, writes := RMWWriteVal(th.TS, n, rc.Val); !writes {
-				child := th.Clone()
-				ApplyRMWNoWrite(c.env, child, id, mem, rc.TS)
-				c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+				child := c.child(th)
+				ApplyRMWNoWrite(c.env, &child.Thread, id, mem, rc.TS)
+				c.descend(&res, child, mem, hmem, plane)
 				continue
 			}
 			// Fulfil an outstanding promise.
-			for _, tw := range RMWFulfilChoices(c.env, th, id, mem, rc.TS) {
-				child := th.Clone()
-				ApplyRMW(c.env, child, id, mem, rc.TS, tw)
-				c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+			tlo := len(c.times)
+			c.times = appendRMWFulfilChoices(c.times, c.env, th, id, mem, rc.TS)
+			for j := tlo; j < len(c.times); j++ {
+				child := c.child(th)
+				ApplyRMW(c.env, &child.Thread, id, mem, rc.TS, c.times[j])
+				c.descend(&res, child, mem, hmem, plane)
 			}
+			c.times = c.times[:tlo]
 			// Perform the write as a fresh (normal) write.
-			child := th.Clone()
-			childMem := mem.Clone()
-			if t, preCoh, ok := RMWNormalWrite(c.env, child, id, childMem, rc.TS); ok {
-				w := childMem.At(t)
-				var hchild Handle
-				if c.deep {
-					buf := GetEncBuf()
-					buf = EncodeMemory(buf, childMem, 0)
-					hchild, _ = c.cc.in.Intern(buf)
-					PutEncBuf(buf)
-				}
-				c.merge(&res, c.search(child, childMem, hchild, false), &w, preCoh, plane)
+			child, childMem := c.child(th), c.childMem(mem)
+			if t, preCoh, ok := RMWNormalWrite(c.env, &child.Thread, id, childMem, rc.TS); ok {
+				c.descendWrite(&res, child, childMem, t, preCoh, plane)
 			}
+			c.release(child, childMem)
 		}
+		c.reads = c.reads[:lo]
 	default:
 		panic("core: Advance stopped on a non-memory node")
 	}
@@ -595,6 +692,26 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 	return res
 }
 
+// descend searches child under the parent's memory, folds the result into
+// res and frees the child, which is dead from here on.
+func (c *certifier) descend(res *certMemo, child *searchThread, mem *Memory, hmem Handle, plane bool) {
+	c.merge(res, c.search(child, mem, hmem, plane), nil, 0, plane)
+	c.release(child, nil)
+}
+
+// descendWrite searches child under childMem, which the edge into it
+// extended with a fresh write at timestamp t, and folds the result into
+// res. The caller frees both.
+func (c *certifier) descendWrite(res *certMemo, child *searchThread, childMem *Memory, t Time, preCoh View, plane bool) {
+	w := childMem.At(t)
+	var hchild Handle
+	if c.deep {
+		c.key = EncodeMemory(c.key[:0], childMem, 0)
+		hchild, _ = c.cc.in.Intern(c.key)
+	}
+	c.merge(res, c.search(child, childMem, hchild, false), &w, preCoh, plane)
+}
+
 // merge folds a child result into res; when the edge into the child
 // performed write w at pre-view ⊔ coherence bound preCoh, w becomes a
 // candidate promise provided the child certifies (the §B view condition
@@ -604,7 +721,13 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 // memory, and off-plane finals have no consumer.
 func (c *certifier) merge(res *certMemo, child certMemo, w *Msg, preCoh View, plane bool) {
 	if c.unified && plane && w == nil {
-		res.finals = append(res.finals, child.finals...)
+		if res.finals == nil {
+			// Share the child's (immutable) finals; the capacity clip
+			// makes a later append copy instead of writing into them.
+			res.finals = child.finals[:len(child.finals):len(child.finals)]
+		} else {
+			res.finals = append(res.finals, child.finals...)
+		}
 		res.fbound = res.fbound || child.fbound
 	}
 	if !child.reach {

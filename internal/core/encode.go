@@ -28,13 +28,21 @@ func Hash64(b []byte) uint64 {
 
 // encPool recycles encode buffers: state encoding is the hottest allocation
 // site of the explorers, and the buffers are same-sized and short-lived.
+// It holds *[]byte values that round-trip through GetEncBuf/PutEncBuf, so
+// recycling a buffer allocates nothing.
 var encPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// GetEncBuf returns an empty encode buffer from the pool.
-func GetEncBuf() []byte { return (*(encPool.Get().(*[]byte)))[:0] }
+// GetEncBuf returns a pooled encode buffer, emptied. Append to *bp and hand
+// bp back to PutEncBuf (storing any grown slice in *bp first keeps its
+// capacity for the next user).
+func GetEncBuf() *[]byte {
+	bp := encPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
 
 // PutEncBuf recycles a buffer obtained from GetEncBuf.
-func PutEncBuf(b []byte) { encPool.Put(&b) }
+func PutEncBuf(bp *[]byte) { encPool.Put(bp) }
 
 func appendInt(b []byte, v int64) []byte {
 	return binary.AppendVarint(b, v)
@@ -124,6 +132,28 @@ func (ts *TState) localEnc() []byte {
 		}
 	}
 	return ts.encLocal
+}
+
+// bankBufs are buffers a scratch state owns for its bank-encoding caches.
+type bankBufs struct{ coh, fwdb, local []byte }
+
+// cacheBanks builds every missing bank-encoding cache of ts into the
+// matching buffer of own, reusing its capacity where cohEnc and friends
+// would allocate a fresh slice. The caller must own the buffers: nothing
+// still reading an earlier encoding built into them may be live.
+func (ts *TState) cacheBanks(own *bankBufs) {
+	if ts.encCoh == nil && len(ts.Coh) > 0 {
+		own.coh = appendLocViews(own.coh[:0], ts.Coh)
+		ts.encCoh = own.coh
+	}
+	if ts.encFwdb == nil && len(ts.Fwdb) > 0 {
+		own.fwdb = appendFwdb(own.fwdb[:0], ts.Fwdb)
+		ts.encFwdb = own.fwdb
+	}
+	if ts.encLocal == nil && len(ts.Local) > 0 {
+		own.local = appendLocals(own.local[:0], ts.Local)
+		ts.encLocal = own.local
+	}
 }
 
 func appendLocViews(b []byte, m LocViews) []byte {

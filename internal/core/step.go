@@ -218,6 +218,11 @@ func loadPreView(ts *TState, n *lang.Node) (loc lang.Loc, vaddr, pre View) {
 // read from (rule read): the newest write to the location at or below
 // νpre ⊔ coh(l), plus every later write to the location.
 func ReadChoices(env *Env, th *Thread, id int32, mem *Memory) []ReadChoice {
+	return appendReadChoices(nil, env, th, id, mem)
+}
+
+// appendReadChoices appends the ReadChoices of the pending load to out.
+func appendReadChoices(out []ReadChoice, env *Env, th *Thread, id int32, mem *Memory) []ReadChoice {
 	n := &env.Code.Nodes[id]
 	l, _, pre := loadPreView(th.TS, n)
 	floor := Join(pre, th.TS.CohView(l))
@@ -229,7 +234,6 @@ func ReadChoices(env *Env, th *Thread, id int32, mem *Memory) []ReadChoice {
 			break
 		}
 	}
-	var out []ReadChoice
 	if v, ok := mem.Read(l, base); ok {
 		out = append(out, ReadChoice{TS: base, Val: v})
 	}
@@ -306,7 +310,11 @@ func CanFulfil(env *Env, th *Thread, id int32, mem *Memory, t Time) bool {
 
 // FulfilChoices lists the outstanding promises the pending store can fulfil.
 func FulfilChoices(env *Env, th *Thread, id int32, mem *Memory) []Time {
-	var out []Time
+	return appendFulfilChoices(nil, env, th, id, mem)
+}
+
+// appendFulfilChoices appends the FulfilChoices of the pending store to out.
+func appendFulfilChoices(out []Time, env *Env, th *Thread, id int32, mem *Memory) []Time {
 	for _, t := range th.TS.Prom {
 		if CanFulfil(env, th, id, mem, t) {
 			out = append(out, t)
@@ -386,7 +394,8 @@ func NormalWrite(env *Env, th *Thread, id int32, mem *Memory) (t Time, preCoh Vi
 	}
 	preCoh = Join(pre, ts.CohView(l))
 	mem.Append(Msg{Loc: l, Val: v, TID: env.TID})
-	ts.Prom = ts.Prom.Add(t)
+	// Promising t and fulfilling it at once leaves Prom as it was, so
+	// ApplyFulfil's removal of t (absent) stands for both.
 	ApplyFulfil(env, th, id, mem, t)
 	return t, preCoh, true
 }
@@ -485,7 +494,12 @@ func CanRMW(env *Env, th *Thread, id int32, mem *Memory, tr, tw Time) bool {
 // RMWFulfilChoices lists the outstanding promises the pending RMW at node
 // id can fulfil after reading timestamp tr.
 func RMWFulfilChoices(env *Env, th *Thread, id int32, mem *Memory, tr Time) []Time {
-	var out []Time
+	return appendRMWFulfilChoices(nil, env, th, id, mem, tr)
+}
+
+// appendRMWFulfilChoices appends the RMWFulfilChoices of the pending RMW to
+// out.
+func appendRMWFulfilChoices(out []Time, env *Env, th *Thread, id int32, mem *Memory, tr Time) []Time {
 	for _, t := range th.TS.Prom {
 		if CanRMW(env, th, id, mem, tr, t) {
 			out = append(out, t)
@@ -583,7 +597,7 @@ func RMWNormalWrite(env *Env, th *Thread, id int32, mem *Memory, tr Time) (t Tim
 	postR := Join(preR, readView(env.Arch, n.RK, ts.Fwd(l), tr))
 	preCoh = Join(rmwWritePre(ts, n, va, postR), ts.CohView(l))
 	mem.Append(Msg{Loc: l, Val: nv, TID: env.TID})
-	ts.Prom = ts.Prom.Add(t)
+	// As in NormalWrite, the promise of t and its fulfilment cancel out.
 	ApplyRMW(env, th, id, mem, tr, t)
 	return t, preCoh, true
 }

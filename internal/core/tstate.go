@@ -46,14 +46,6 @@ func (m *LocViews) Set(l lang.Loc, v View) {
 	*m = s
 }
 
-// Clone copies the bank.
-func (m LocViews) Clone() LocViews {
-	if len(m) == 0 {
-		return nil
-	}
-	return append(LocViews(nil), m...)
-}
-
 // FwdEntry is one entry of a FwdBank.
 type FwdEntry struct {
 	Loc lang.Loc
@@ -89,14 +81,6 @@ func (m *FwdBank) Set(l lang.Loc, f FwdItem) {
 	copy(s[i+1:], s[i:])
 	s[i] = FwdEntry{Loc: l, F: f}
 	*m = s
-}
-
-// Clone copies the bank.
-func (m FwdBank) Clone() FwdBank {
-	if len(m) == 0 {
-		return nil
-	}
-	return append(FwdBank(nil), m...)
 }
 
 // LocalEntry is one entry of a Locals bank.
@@ -136,19 +120,16 @@ func (m *Locals) Set(l lang.Loc, rv RegVal) {
 	*m = s
 }
 
-// Clone copies the bank.
-func (m Locals) Clone() Locals {
-	if len(m) == 0 {
-		return nil
-	}
-	return append(Locals(nil), m...)
-}
-
 // TState is the thread state of Fig. 2/4: promise set, register file,
 // per-location coherence views, the six ordering views, the forward bank and
 // the exclusives bank. Local additionally holds thread-private storage for
 // locations declared non-shared (the §7 optimisation), and BoundExceeded
 // flags executions that ran past the loop-unrolling bound.
+//
+// Prom and Xclb are replace-only: the step rules assign them a new value
+// (PromSet.Add/Remove return a fresh slice, Xclb a fresh item or nil) and
+// never write through the old one, so copies share them instead of
+// copying. Regs and the three banks are updated in place and are copied.
 type TState struct {
 	Prom PromSet
 	Regs []RegVal
@@ -174,7 +155,9 @@ type TState struct {
 	// certification memoisation, and most steps mutate at most one bank, so
 	// a clone inherits its parent's caches and EncodeThread re-serialises
 	// only the banks that changed since. The cached slices are immutable
-	// once built (clones share the backing arrays); the setters below clear
+	// once built (copies share the backing arrays; a certification search
+	// child rebuilds only into buffers it owns, once every copy sharing
+	// them is dead — see cacheBanks); the setters below clear
 	// the corresponding cache. nil = not cached. Mutating a bank directly
 	// (ts.Coh.Set) instead of through the setters leaves a populated cache
 	// stale — all step rules go through the setters.
@@ -187,30 +170,36 @@ func NewTState(n int) *TState {
 	return &TState{Regs: make([]RegVal, n)}
 }
 
-// Clone deep-copies the state.
+// Clone copies the state (see copyInto).
 func (ts *TState) Clone() *TState {
-	out := &TState{
-		Prom:          ts.Prom.Clone(),
-		Regs:          append([]RegVal(nil), ts.Regs...),
-		Coh:           ts.Coh.Clone(),
+	out := new(TState)
+	ts.copyInto(out)
+	return out
+}
+
+// copyInto overwrites dst with a copy of ts, reusing the capacity of dst's
+// slices: the certification search refills dead children this way instead
+// of allocating a fresh state per edge. The replace-only Prom and Xclb and
+// the immutable bank-encoding caches are shared with ts.
+func (ts *TState) copyInto(dst *TState) {
+	*dst = TState{
+		Prom:          ts.Prom,
+		Regs:          append(dst.Regs[:0], ts.Regs...),
+		Coh:           append(dst.Coh[:0], ts.Coh...),
 		VROld:         ts.VROld,
 		VWOld:         ts.VWOld,
 		VRNew:         ts.VRNew,
 		VWNew:         ts.VWNew,
 		VCAP:          ts.VCAP,
 		VRel:          ts.VRel,
-		Fwdb:          ts.Fwdb.Clone(),
-		Local:         ts.Local.Clone(),
+		Fwdb:          append(dst.Fwdb[:0], ts.Fwdb...),
+		Xclb:          ts.Xclb,
+		Local:         append(dst.Local[:0], ts.Local...),
 		BoundExceeded: ts.BoundExceeded,
 		encCoh:        ts.encCoh,
 		encFwdb:       ts.encFwdb,
 		encLocal:      ts.encLocal,
 	}
-	if ts.Xclb != nil {
-		x := *ts.Xclb
-		out.Xclb = &x
-	}
-	return out
 }
 
 // CohView returns coh(l) (0 when untouched).
@@ -294,9 +283,18 @@ func NewThread(code *lang.Code) *Thread {
 // outstanding promises).
 func (th *Thread) Done() bool { return len(th.Cont) == 0 }
 
-// Clone deep-copies the thread.
+// Clone copies the thread (see TState.copyInto).
 func (th *Thread) Clone() *Thread {
-	return &Thread{Cont: append([]int32(nil), th.Cont...), TS: th.TS.Clone()}
+	out := &Thread{TS: new(TState)}
+	th.copyInto(out)
+	return out
+}
+
+// copyInto overwrites dst, whose TS must be non-nil, with a copy of th,
+// reusing dst's capacity.
+func (th *Thread) copyInto(dst *Thread) {
+	dst.Cont = append(dst.Cont[:0], th.Cont...)
+	th.TS.copyInto(dst.TS)
 }
 
 // push pushes a node onto the continuation stack.

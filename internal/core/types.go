@@ -106,7 +106,15 @@ func (m *Memory) Truncate(t Time) { m.msgs = m.msgs[:t] }
 
 // Clone returns a deep copy sharing the (immutable) init map.
 func (m *Memory) Clone() *Memory {
-	return &Memory{msgs: append([]Msg(nil), m.msgs...), init: m.init}
+	out := new(Memory)
+	m.copyInto(out)
+	return out
+}
+
+// copyInto overwrites dst with a copy of m, reusing dst's capacity.
+func (m *Memory) copyInto(dst *Memory) {
+	dst.msgs = append(dst.msgs[:0], m.msgs...)
+	dst.init = m.init
 }
 
 // NoWriteTo reports that no message in the half-open timestamp interval
@@ -217,16 +225,19 @@ func (p PromSet) Add(t Time) PromSet {
 	return append(out, p[i:]...)
 }
 
-// Remove returns the set without t.
+// Remove returns the set without t. Like Add it never writes through p,
+// so removing the smallest or largest element returns a subslice of p.
 func (p PromSet) Remove(t Time) PromSet {
 	i := sort.SearchInts(p, t)
-	if i >= len(p) || p[i] != t {
+	switch {
+	case i >= len(p) || p[i] != t:
 		return p
+	case i == 0:
+		return p[1:]
+	case i == len(p)-1:
+		return p[:i:i]
 	}
 	out := make(PromSet, 0, len(p)-1)
 	out = append(out, p[:i]...)
 	return append(out, p[i+1:]...)
 }
-
-// Clone copies the set.
-func (p PromSet) Clone() PromSet { return append(PromSet(nil), p...) }

@@ -132,7 +132,8 @@ func Interleave[M Interleaving[S, L], S, L any](backend string, cp *lang.Compile
 	// the to-expand set in the concrete (todo) and canonical (ctodo) frame
 	// and whether the child is dropped.
 	addState := func(s S, child bool, sleep uint32) (h core.Handle, fresh bool, order []int, todo, ctodo uint32, drop bool) {
-		b := core.GetEncBuf()
+		bp := core.GetEncBuf()
+		b := *bp
 		if sym != nil {
 			encs := make([][]byte, nThreads)
 			for t := range encs {
@@ -162,7 +163,8 @@ func Interleave[M Interleaving[S, L], S, L any](backend string, cp *lang.Compile
 				drop = !fresh || opts.Remote != nil && opts.Remote.Discovered(b, h, AllFamilies) == AllFamilies
 			}
 		}
-		core.PutEncBuf(b)
+		*bp = b
+		core.PutEncBuf(bp)
 		return
 	}
 

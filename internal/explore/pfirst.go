@@ -165,7 +165,8 @@ type pfExplorer struct {
 // to another shard's attempt) makes addMem report not-fresh so the
 // caller skips the push.
 func (e *pfExplorer) addMem(mem *core.Memory, child bool) (core.Handle, bool) {
-	b := core.GetEncBuf()
+	bp := core.GetEncBuf()
+	b := *bp
 	if e.sym != nil {
 		var hit bool
 		b, hit = e.sym.CanonicalMemory(b, mem)
@@ -179,7 +180,8 @@ func (e *pfExplorer) addMem(mem *core.Memory, child bool) (core.Handle, bool) {
 	if child && fresh && e.opts.Remote != nil && e.opts.Remote.Discovered(b, h, AllFamilies) == AllFamilies {
 		fresh = false
 	}
-	core.PutEncBuf(b)
+	*bp = b
+	core.PutEncBuf(bp)
 	return h, fresh
 }
 
@@ -460,10 +462,10 @@ func (c *completer) search(th *core.Thread) []threadFinal {
 	witness := c.e.opts.CollectWitnesses
 	var key core.Handle
 	if !witness {
-		b := core.GetEncBuf()
-		b = core.EncodeThread(b, th)
-		key, _ = c.e.tin.Intern(b)
-		core.PutEncBuf(b)
+		bp := core.GetEncBuf()
+		*bp = core.EncodeThread(*bp, th)
+		key, _ = c.e.tin.Intern(*bp)
+		core.PutEncBuf(bp)
 		if fs, ok := c.memo[key]; ok {
 			return fs
 		}

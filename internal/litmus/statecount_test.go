@@ -21,11 +21,9 @@ import (
 // delta form), hashes both marshaled snapshots, and resumes to the end.
 // The pinned table lives in testdata/statecounts.txt.
 //
-// Naive rows pin less of the checkpointed run: certification returns a
-// thread's promise steps in map order (core.CertCache.FindAndCertify), so
-// which states are pending at a checkpoint, and hence the snapshot bytes
-// and the resumed leg's PrunedStates, vary from run to run. Whole-run
-// counters do not depend on that order.
+// Naive rows pin as much as flat rows: certification returns a thread's
+// promise steps sorted (core.CertCache.FindAndCertify), so naive's step
+// order, and with it the pending states at a checkpoint, is deterministic.
 
 const stateCountGolden = "testdata/statecounts.txt"
 
@@ -39,24 +37,16 @@ func fnvHex(parts ...[]byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// countsOf renders a result's pinned counters, PrunedStates only when
-// pruned is set.
-func countsOf(r *explore.Result, pruned bool) string {
-	s := fmt.Sprintf("states=%d dead=%d interned=%d symhits=%d",
-		r.States, r.DeadEnds, r.Stats.Interned, r.Stats.SymmetryHits)
-	if pruned {
-		s += fmt.Sprintf(" pruned=%d", r.Stats.PrunedStates)
-	}
-	return s
+// countsOf renders a result's pinned counters.
+func countsOf(r *explore.Result) string {
+	return fmt.Sprintf("states=%d dead=%d interned=%d symhits=%d pruned=%d",
+		r.States, r.DeadEnds, r.Stats.Interned, r.Stats.SymmetryHits, r.Stats.PrunedStates)
 }
 
 // snapHash marshals a leg's snapshot and hashes it ("-" when the leg
-// completed without one, "*" when its bytes are not pinned).
-func snapHash(t *testing.T, s *explore.Snapshot, pinned bool) string {
+// completed without one).
+func snapHash(t *testing.T, s *explore.Snapshot) string {
 	t.Helper()
-	if !pinned {
-		return "*"
-	}
 	if s == nil {
 		return "-"
 	}
@@ -83,8 +73,7 @@ func stateCountRow(t *testing.T, tst *Test, b ckptBackend, red explore.Reduction
 	for _, k := range outcomeKeys(ref.Result) {
 		keys = append(keys, []byte(k))
 	}
-	row := fmt.Sprintf("%s %s %s %s outcomes=%s", b.name, red, tst.Name(), countsOf(ref.Result, true), fnvHex(keys...))
-	ordered := b.name != "naive"
+	row := fmt.Sprintf("%s %s %s %s outcomes=%s", b.name, red, tst.Name(), countsOf(ref.Result), fnvHex(keys...))
 
 	third := ref.Result.States/3 + 1
 	opts.Checkpoint = explore.NewCheckpointAfter(third)
@@ -93,14 +82,14 @@ func stateCountRow(t *testing.T, tst *Test, b ckptBackend, red explore.Reduction
 		t.Fatalf("%s/%s: leg 1: %v", tst.Name(), b.name, err)
 	}
 	snap1 := v.Result.Snapshot
-	row += " | snap1=" + snapHash(t, snap1, ordered)
+	row += " | snap1=" + snapHash(t, snap1)
 	if snap1 != nil {
 		opts.Checkpoint = explore.NewCheckpointAfter(2 * third)
 		opts.DeltaSnapshot = true
 		if v, err = RunFrom(tst, b.resume, snap1, opts); err != nil {
 			t.Fatalf("%s/%s: leg 2: %v", tst.Name(), b.name, err)
 		}
-		row += " snap2=" + snapHash(t, v.Result.Snapshot, ordered)
+		row += " snap2=" + snapHash(t, v.Result.Snapshot)
 		if delta := v.Result.Snapshot; delta != nil {
 			full, err := explore.ApplyDelta(snap1, delta)
 			if err != nil {
@@ -112,7 +101,7 @@ func stateCountRow(t *testing.T, tst *Test, b ckptBackend, red explore.Reduction
 			}
 		}
 	}
-	return row + " " + countsOf(v.Result, ordered)
+	return row + " " + countsOf(v.Result)
 }
 
 func stateCountRows(t *testing.T) []string {
